@@ -3,17 +3,17 @@
 
 GO ?= go
 
-.PHONY: check verify build test race vet fmt-check bench bench-telemetry bench-wal bench-cluster bench-ingest bench-e2e bench-e2e-smoke bench-geo crash-test doccheck loadgen chaos cluster-test trace-smoke clean
+.PHONY: check verify build test race vet fmt-check bench bench-telemetry bench-wal bench-cluster bench-ingest bench-check crash-test doccheck loadgen chaos cluster-test trace-smoke clean
 
 check: vet build race
 
 # Full pre-merge verification: formatting, vet, build, tests, the
 # sharded-cluster suite (in-process chaos harness + real-process smoke),
-# a seconds-long smoke tier of the latency-SLO harness under the race
-# detector, the end-to-end trace smoke (one traced upload must cross
-# gateway -> shard -> WAL under a single trace ID), and the godoc
-# coverage gate on contract-surface packages.
-verify: fmt-check vet build test doccheck cluster-test bench-e2e-smoke trace-smoke
+# the benchmark module's vet/build plus the open-loop scheduler's tests
+# under the race detector, the end-to-end trace smoke (one traced upload
+# must cross gateway -> shard -> WAL under a single trace ID), and the
+# godoc coverage gate on contract-surface packages.
+verify: fmt-check vet build test doccheck cluster-test bench-check trace-smoke
 
 # Godoc coverage on contract-surface packages: every exported
 # identifier (funcs, methods, types, consts, vars, struct fields) must
@@ -128,7 +128,8 @@ bench-cluster:
 # (acceptance: flat — the retrain path does O(1) work however many WSDs
 # wait). Fixed iteration counts keep the comparisons on equal store
 # sizes. Results land in BENCH_7.json with the raw text in BENCH_7.txt.
-# Gate changes against a saved baseline with scripts/bench_regress.sh.
+# Gate changes against a saved baseline with
+# scripts/bench_regress.sh BASELINE.json BENCH_7.json.
 INGEST_BENCH_PATTERN ?= BenchmarkIngest
 WATCH_BENCH_PATTERN ?= BenchmarkWatchBump
 
@@ -137,47 +138,15 @@ bench-ingest:
 	$(GO) test -bench '$(WATCH_BENCH_PATTERN)' -benchtime 100000x -run XXX ./internal/dbserver/ | tee -a BENCH_7.txt
 	$(GO) run ./cmd/waldo-benchjson < BENCH_7.txt > BENCH_7.json
 
-# End-to-end latency-SLO harness (DESIGN.md / OPERATIONS.md §SLO): boots
-# a real in-process server (single-node and 3-shard gateway topologies),
-# drives open-loop load tiers, and APPENDS per-endpoint p50/p95/p99/p999
-# plus GC-pause percentiles to the BENCH_E2E.json trajectory. Gate the
-# last two runs with scripts/bench_regress.sh BENCH_E2E.json.
-E2E_TIERS ?= 1k=1000,10k=10000,50k=50000
-E2E_TIER_DURATION ?= 5s
-
-bench-e2e:
-	$(GO) run ./cmd/waldo-bench-e2e -out BENCH_E2E.json -tiers '$(E2E_TIERS)' -tier-duration $(E2E_TIER_DURATION)
-
-# The verify-time slice: the harness's own test suite under -race (smoke
-# tiers on both topologies, the geo-query tiers with the
-# rebuild-off-the-request-path check, plus the shutdown goroutine-leak
-# checks).
-bench-e2e-smoke:
+# The repo benchmark lives in the nested waldobench module (run it with
+# `bash waldobench/run.sh`; workloads and metrics in BENCHMARK.json and
+# waldobench/README.md). The root `go build ./...` does not descend into
+# a nested module, so vet and build it here: a root API change that
+# breaks the benchmark fails verify, not only the benchmark run. Then
+# the open-loop scheduler it drives load with, under the race detector.
+bench-check:
+	cd waldobench && $(GO) vet ./... && $(GO) build -o /dev/null ./...
 	$(GO) test -race ./internal/benchharness/ -count 1
-
-# Spatiotemporal query harness (DESIGN.md §15): boots the single and
-# 3-shard gateway topologies and drives GET /v1/availability + POST
-# /v1/route open-loop at fixed tiers while periodic retrains keep the
-# availability grid rebuilding underneath. APPENDS per-endpoint
-# p50/p95/p99/p999 plus published-rebuild counts to the BENCH_10.json
-# trajectory (bench_e2e/v1 schema); once two runs exist,
-# scripts/bench_regress.sh gates route/availability p99 between the last
-# two runs. The threshold is looser than the microbench default: these
-# are ms-scale p99s from seconds-long tiers on whatever box CI hands us,
-# where ±40% scheduler noise is routine — the gate exists to catch the
-# order-of-magnitude blowup of rebuild work landing on the request path,
-# not to relitigate jitter.
-GEO_TIERS ?= 500=500,2k=2000,5k=5000
-GEO_TIER_DURATION ?= 5s
-GEO_REGRESS_PCT ?= 50
-
-bench-geo:
-	$(GO) run ./cmd/waldo-bench-geo -out BENCH_10.json -tiers '$(GEO_TIERS)' -tier-duration $(GEO_TIER_DURATION)
-	@if [ "$$(grep -c '"time":' BENCH_10.json)" -ge 2 ]; then \
-		scripts/bench_regress.sh BENCH_10.json $(GEO_REGRESS_PCT); \
-	else \
-		echo "bench-geo: first run recorded; the regression gate engages from the second run"; \
-	fi
 
 clean:
 	$(GO) clean ./...

@@ -18,24 +18,15 @@
 // stderr so failures stay visible. A line that looks like a benchmark
 // result but does not parse fails the run — a silently skipped
 // measurement would let a regression gate pass vacuously.
-//
-// -extract-e2e switches input format: stdin is a BENCH_E2E.json
-// trajectory (internal/benchharness) and stdout gets flattened
-// "key value-in-ns" lines for one run (-run selects which; negative
-// counts from the latest), the surface scripts/bench_regress.sh diffs.
 package main
 
 import (
 	"bufio"
 	"encoding/json"
-	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strconv"
 	"strings"
-
-	"github.com/wsdetect/waldo/internal/benchharness"
 )
 
 // Result is one benchmark measurement.
@@ -146,41 +137,7 @@ func run(in *bufio.Scanner, out *json.Encoder) error {
 	return nil
 }
 
-// extractE2E flattens one run of a BENCH_E2E.json trajectory into the
-// sorted "key value-in-ns" lines the regression gate diffs.
-func extractE2E(in io.Reader, out io.Writer, runIdx int) error {
-	data, err := io.ReadAll(in)
-	if err != nil {
-		return err
-	}
-	var traj benchharness.Trajectory
-	if err := json.Unmarshal(data, &traj); err != nil {
-		return fmt.Errorf("parse trajectory: %w", err)
-	}
-	if traj.Format != benchharness.TrajectoryFormat {
-		return fmt.Errorf("input format %q is not %q", traj.Format, benchharness.TrajectoryFormat)
-	}
-	flat, err := traj.Flatten(runIdx)
-	if err != nil {
-		return err
-	}
-	_, err = io.WriteString(out, flat)
-	return err
-}
-
 func main() {
-	extract := flag.Bool("extract-e2e", false,
-		"treat stdin as a BENCH_E2E.json trajectory and emit one run's flattened gate keys")
-	runIdx := flag.Int("run", -1,
-		"with -extract-e2e: the trajectory run to flatten (negative counts from the latest)")
-	flag.Parse()
-	if *extract {
-		if err := extractE2E(os.Stdin, os.Stdout, *runIdx); err != nil {
-			fmt.Fprintln(os.Stderr, "waldo-benchjson:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	enc := json.NewEncoder(os.Stdout)

@@ -132,42 +132,6 @@ func TestRunRejectsMalformedBenchmarkLines(t *testing.T) {
 	}
 }
 
-func TestExtractE2EFlattensLatestRun(t *testing.T) {
-	const traj = `{
-	  "format": "bench_e2e/v1",
-	  "runs": [
-	    {"time": "old", "topologies": [{"topology": "single", "tiers": [
-	      {"name": "1k", "endpoints": [{"endpoint": "model", "count": 10, "p99_seconds": 0.001}],
-	       "gc": {"pause_count": 2, "pause_p99_seconds": 0.0001}}]}]},
-	    {"time": "new", "topologies": [{"topology": "single", "tiers": [
-	      {"name": "1k", "endpoints": [{"endpoint": "model", "count": 10, "p99_seconds": 0.002}],
-	       "gc": {"pause_count": 2, "pause_p99_seconds": 0.0002}}]}]}
-	  ]
-	}`
-	var out bytes.Buffer
-	if err := extractE2E(strings.NewReader(traj), &out, -1); err != nil {
-		t.Fatal(err)
-	}
-	got := out.String()
-	want := "e2e/single/1k/gc_pause/p99 200000\ne2e/single/1k/model/p99 2000000\n"
-	if got != want {
-		t.Errorf("latest run flatten:\ngot  %q\nwant %q", got, want)
-	}
-	out.Reset()
-	if err := extractE2E(strings.NewReader(traj), &out, -2); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "e2e/single/1k/model/p99 1000000") {
-		t.Errorf("run -2 flatten = %q", out.String())
-	}
-	if err := extractE2E(strings.NewReader(traj), &bytes.Buffer{}, -3); err == nil {
-		t.Error("out-of-range run index must error")
-	}
-	if err := extractE2E(strings.NewReader(`{"format":"bench/v0"}`), &bytes.Buffer{}, -1); err == nil {
-		t.Error("wrong format must error")
-	}
-}
-
 func TestParseLineRejectsGarbage(t *testing.T) {
 	for _, line := range []string{
 		"",

@@ -1,4 +1,4 @@
-// Command waldo-loadgen is the repo's end-to-end performance harness: it
+// Command waldo-loadgen is an interactive load generator: it
 // bootstraps a central spectrum database from a simulated war-driving
 // campaign, drives N concurrent White Space Device clients through
 // scan/upload cycles against the server's real HTTP API, and prints a
@@ -41,7 +41,7 @@
 // spatiotemporal query surface: each client follows a drifting
 // trajectory through the metro, querying GET /v1/availability at its
 // position and POST /v1/route for its look-ahead polyline every cycle.
-// This is the load shape behind `make bench-geo`:
+// For example:
 //
 //	waldo-loadgen -clients 16 -trajectory -rate 500 -duration 10s
 package main

@@ -1,9 +1,7 @@
-// Package benchharness is the end-to-end latency-SLO harness: it boots a
-// real spectrum database (a single waldo-server, or the 3-shard gateway
-// topology) in-process, drives it with open-loop load at fixed offered
-// rates, and reports per-endpoint tail latency, GC pause distribution,
-// and achieved-vs-offered throughput per tier into the BENCH_E2E.json
-// trajectory (see report.go and cmd/waldo-bench-e2e).
+// Package benchharness is the open-loop load scheduler shared by the
+// repo benchmark (waldobench/), cmd/waldo-loadgen's -rate mode, and the
+// latency-regime tests: it fixes send times in advance at an offered
+// rate and hands each operation its scheduled start.
 //
 // # Why open-loop
 //
@@ -15,7 +13,7 @@
 // send times in advance at the offered rate and measures every
 // operation's latency from its *scheduled* start, so queueing delay at
 // saturation lands in the histogram instead of vanishing. Sends the
-// harness cannot even start on time are counted (late) and sends past
+// scheduler cannot even start on time are counted (late) and sends past
 // the backlog bound are counted and skipped (dropped), never hidden.
 package benchharness
 

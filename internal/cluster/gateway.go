@@ -245,7 +245,7 @@ func (g *Gateway) Close() error {
 }
 
 // Metrics returns the gateway's telemetry registry (never nil) — the
-// e2e latency harness reads routing counters from it per load tier.
+// admin listener serves it, and load tools read routing counters from it.
 func (g *Gateway) Metrics() *telemetry.Registry { return g.metrics }
 
 // ConfigVersion returns the routing-configuration fingerprint stamped on

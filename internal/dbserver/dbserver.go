@@ -174,10 +174,17 @@ type Server struct {
 	// closed is closed by Close so parked long-polls (watchers) wake and
 	// answer instead of pinning the listener's graceful shutdown for up
 	// to a full watch horizon. closeOnce makes Close idempotent — crash
-	// harnesses and the e2e latency harness both close servers that their
-	// cleanup paths close again.
+	// harnesses and tests close servers that their cleanup paths close
+	// again.
 	closed    chan struct{}
 	closeOnce sync.Once
+
+	// snapMu orders background snapshot starts against Close: once
+	// closed is closed (under snapMu) maybeSnapshot starts nothing, and
+	// Close waits on snapWG for the compactions already running before
+	// it closes the stores underneath them.
+	snapMu sync.Mutex
+	snapWG sync.WaitGroup
 }
 
 // modelBlob is one cached encoded descriptor.
@@ -317,8 +324,8 @@ func New(cfg Config) *Server {
 	}
 	// Attach a flight recorder so every server answers /debug/traces out
 	// of the box. A recorder the caller already attached to the registry
-	// (the benchharness, a shared gateway registry) is reused and stays
-	// the caller's to close; one created here is closed by Close.
+	// (a shared gateway registry) is reused and stays the caller's to
+	// close; one created here is closed by Close.
 	rec := cfg.Metrics.FlightRecorder()
 	ownRec := rec == nil
 	if ownRec {

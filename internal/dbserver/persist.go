@@ -103,6 +103,7 @@ func (s *Server) openStore(key storeKey, u *core.Updater) (core.Journal, error) 
 // maybeSnapshot triggers a background snapshot compaction of key's store
 // when the SnapshotEvery policy says it is due. Non-blocking: the upload
 // path only does an atomic load and, at most, spawns the goroutine.
+// After Close it starts nothing; Close waits for the ones it started.
 func (s *Server) maybeSnapshot(key storeKey) {
 	if s.cfg.SnapshotEvery <= 0 {
 		return
@@ -113,7 +114,18 @@ func (s *Server) maybeSnapshot(key storeKey) {
 	if ws == nil || ws.appended.Load() < int64(s.cfg.SnapshotEvery) {
 		return
 	}
-	go s.snapshotStore(key) //nolint:errcheck // counted in waldo_wal_snapshot_errors_total
+	s.snapMu.Lock()
+	defer s.snapMu.Unlock()
+	select {
+	case <-s.closed:
+		return
+	default:
+	}
+	s.snapWG.Add(1)
+	go func() {
+		defer s.snapWG.Done()
+		s.snapshotStore(key) //nolint:errcheck // counted in waldo_wal_snapshot_errors_total
+	}()
 }
 
 // snapshotStore compacts one store: it captures a consistent (readings,
@@ -173,10 +185,14 @@ func (s *Server) FlushWAL() error {
 // listener draining in-flight requests after Close never waits out a
 // long-poll horizon. It deliberately does not snapshot: the data dir
 // stays crash-shaped, and recovery replays it identically whether the
-// process exited cleanly or died. Idempotent.
+// process exited cleanly or died. A background snapshot already running
+// is waited for, so a reopen of the data dir never races its segment
+// deletion. Idempotent.
 func (s *Server) Close() error {
 	s.closeOnce.Do(func() {
+		s.snapMu.Lock()
 		close(s.closed)
+		s.snapMu.Unlock()
 		// Stop grid rebuild scheduling and wait out any in-flight build
 		// so shutdown never leaks a builder goroutine.
 		s.geoidx.Close()
@@ -184,6 +200,7 @@ func (s *Server) Close() error {
 			s.recorder.Close()
 		}
 	})
+	s.snapWG.Wait()
 	var first error
 	for _, ws := range s.walSnapshot() {
 		if err := ws.store.Close(); err != nil && first == nil {

@@ -10,11 +10,15 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/wsdetect/waldo/internal/core"
 	"github.com/wsdetect/waldo/internal/rfenv"
 	"github.com/wsdetect/waldo/internal/sensor"
+	"github.com/wsdetect/waldo/internal/wal"
 )
 
 // corruptFile flips a byte in the middle of the named file somewhere
@@ -299,5 +303,116 @@ func TestOpenRejectsCorruptDataDir(t *testing.T) {
 		t.Fatal("Open accepted a corrupt snapshot")
 	} else if !strings.Contains(err.Error(), "OPERATIONS.md") {
 		t.Errorf("error does not point at the runbook: %v", err)
+	}
+}
+
+// slowInstallFS is the old server's WAL filesystem in
+// TestCloseWaitsForBackgroundSnapshot: the first snapshot install (the
+// rename inside CompleteCheckpoint) announces itself and then stalls,
+// so Close lands while a compaction is in flight; compacted records
+// the moment that compaction has deleted its covered segments.
+type slowInstallFS struct {
+	wal.FS
+	installing, compacted chan struct{}
+	stall, done           sync.Once
+	removed               atomic.Bool
+}
+
+func (f *slowInstallFS) Rename(oldpath, newpath string) error {
+	f.stall.Do(func() {
+		close(f.installing)
+		time.Sleep(300 * time.Millisecond)
+	})
+	return f.FS.Rename(oldpath, newpath)
+}
+
+func (f *slowInstallFS) Remove(path string) error {
+	f.removed.Store(true)
+	return f.FS.Remove(path)
+}
+
+func (f *slowInstallFS) SyncDir(dir string) error {
+	err := f.FS.SyncDir(dir)
+	if f.removed.Load() {
+		f.done.Do(func() { close(f.compacted) })
+	}
+	return err
+}
+
+// listAfterFS is the reopened server's WAL filesystem: its segment
+// listing waits until the old server's compaction (if one is still
+// running) has finished, which puts a compaction that outlived Close
+// squarely inside recovery.
+type listAfterFS struct {
+	wal.FS
+	after <-chan struct{}
+}
+
+func (f listAfterFS) ReadDir(dir string) ([]string, error) {
+	select {
+	case <-f.after:
+	case <-time.After(2 * time.Second):
+	}
+	return f.FS.ReadDir(dir)
+}
+
+// TestCloseWaitsForBackgroundSnapshot pins that Close waits for an
+// auto-snapshot already running. A compaction that outlives Close
+// installs its snapshot and deletes the segments it covers while a
+// reopen of the same data dir is recovering, so the reopen reads the
+// old snapshot but only the newer segments and drops acked readings.
+func TestCloseWaitsForBackgroundSnapshot(t *testing.T) {
+	dataDir := t.TempDir()
+	fs := &slowInstallFS{FS: wal.OSFS{}, installing: make(chan struct{}), compacted: make(chan struct{})}
+	cfg := durableConfig(dataDir)
+	cfg.SnapshotEvery = 10
+	cfg.WALFS = fs
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	boot := synthReadings(600, 47, 1)
+	if err := s.Bootstrap(boot); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	up := UploadJSON{CISpanDB: 0.5}
+	for _, r := range synthReadings(20, 47, 3) {
+		up.Readings = append(up.Readings, FromReading(r))
+	}
+	body, _ := json.Marshal(up)
+	resp, err := http.Post(ts.URL+"/v1/readings", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("upload = %s", resp.Status)
+	}
+	acked := len(boot) + len(up.Readings)
+	if got := s.StoreSize(47, sensor.KindRTLSDR); got != acked {
+		t.Fatalf("store holds %d readings, acked %d", got, acked)
+	}
+
+	select {
+	case <-fs.installing:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no background snapshot started")
+	}
+	ts.Close()
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	cfg.WALFS = listAfterFS{FS: wal.OSFS{}, after: fs.compacted}
+	s2, err := Open(cfg)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer s2.Close()
+	if got := s2.StoreSize(47, sensor.KindRTLSDR); got != acked {
+		t.Errorf("reopen recovered %d readings, acked %d", got, acked)
 	}
 }

@@ -6,14 +6,14 @@ import (
 	"runtime/metrics"
 )
 
-// Runtime capture: the e2e latency harness (internal/benchharness) needs
-// the GC-pause distribution and allocation counters over a bounded load
-// window, not since process start. RuntimeSnapshot reads the runtime's
-// own cumulative counters via runtime/metrics (cheap: no stop-the-world,
+// Runtime capture: the repo benchmark (waldobench/) needs the GC-pause
+// distribution and allocation counters over a bounded load window, not
+// since process start. RuntimeSnapshot reads the runtime's own
+// cumulative counters via runtime/metrics (cheap: no stop-the-world,
 // unlike runtime.ReadMemStats), and DeltaSince subtracts two snapshots
 // into a window-scoped view with quantile accessors over the GC pause
-// histogram. That is what lets a load tier report "p99 GC pause while
-// serving 50k readings/s" instead of a lifetime blur.
+// histogram. That is what lets a workload report "p90 GC pause while
+// serving 20k readings/s" instead of a lifetime blur.
 
 // Sample names read by RuntimeSnapshot. /gc/pauses:seconds is the
 // distribution of individual stop-the-world pause latencies, exactly the
@@ -121,21 +121,6 @@ func (h PauseHistogram) Count() uint64 {
 		n += c
 	}
 	return n
-}
-
-// Sum approximates the total pause time by bucket midpoints (the runtime
-// does not expose per-pause durations). Infinite boundaries fall back to
-// the finite neighbor.
-func (h PauseHistogram) Sum() float64 {
-	var total float64
-	for i, c := range h.Counts {
-		if c == 0 {
-			continue
-		}
-		lo, hi := h.bounds(i)
-		total += float64(c) * (lo + hi) / 2
-	}
-	return total
 }
 
 // Max returns the upper bound of the highest non-empty bucket — the

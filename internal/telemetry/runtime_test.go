@@ -47,9 +47,6 @@ func TestRuntimeDeltaCapturesGC(t *testing.T) {
 	if max < p99 {
 		t.Errorf("max (%v) < p99 (%v)", max, p99)
 	}
-	if sum := d.Pauses.Sum(); sum <= 0 {
-		t.Errorf("pause Sum = %v, want positive", sum)
-	}
 }
 
 // TestRuntimeDeltaZeroWindow asserts a delta over an idle window is

@@ -51,6 +51,30 @@ func TestParseTraceHeaderRejectsMalformed(t *testing.T) {
 	}
 }
 
+// FuzzParseTraceHeader feeds arbitrary X-Waldo-Trace values to the
+// parser. It must never panic, and whatever it accepts must re-render
+// through SpanContext.Header to a header that parses back to the same
+// context.
+func FuzzParseTraceHeader(f *testing.F) {
+	f.Add("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
+	f.Add("00-4BF92F3577B34DA6A3CE929D0E0E4736-00F067AA0BA902B7-00")
+	f.Add("00-" + strings.Repeat("0", 32) + "-00f067aa0ba902b7-01")                 // zero trace id
+	f.Add("00-4bf92f3577b34da6a3ce929d0e0e4736-" + strings.Repeat("0", 16) + "-01") // zero span id
+	f.Add("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-7f")                // unknown flags
+	f.Add("")
+	f.Fuzz(func(t *testing.T, v string) {
+		sc, ok := ParseTraceHeader(v)
+		if !ok {
+			return
+		}
+		h := sc.Header()
+		back, ok := ParseTraceHeader(h)
+		if !ok || back != sc {
+			t.Fatalf("accepted %q as %+v, but its header %q parses back as %+v ok=%v", v, sc, h, back, ok)
+		}
+	})
+}
+
 func TestIDUniqueness(t *testing.T) {
 	seen := map[string]bool{}
 	for i := 0; i < 1000; i++ {

@@ -1,55 +1,30 @@
 #!/usr/bin/env bash
-# Compares two benchmark reports and fails when any measurement present
-# in both regressed by more than the threshold (default 15%).
-#
-# Two input formats are understood, detected per file:
-#
-#   - waldo-benchjson reports (BENCH_<n>.json): compared on ns/op per
-#     benchmark name.
-#   - bench_e2e/v1 trajectories (BENCH_E2E.json from waldo-bench-e2e):
-#     flattened via `waldo-benchjson -extract-e2e` into per-endpoint p99
-#     and GC-pause-p99 keys (values in ns) and compared on those.
-#
-# With two files, each contributes its latest run. With ONE file that is
-# an e2e trajectory, the previous run (-run -2) is the baseline and the
-# latest (-run -1) is the candidate — the `make bench-e2e` append-only
-# workflow needs no separate baseline file:
+# Compares two waldo-benchjson microbenchmark reports (BENCH_<n>.json)
+# and fails when any benchmark present in both regressed its ns/op by
+# more than the threshold (default 15%):
 #
 #   scripts/bench_regress.sh BENCH_7.baseline.json BENCH_7.json
-#   scripts/bench_regress.sh BENCH_E2E.json            # last two runs
 #
 # The gate fails loudly (exit 2) rather than passing vacuously when a
-# baseline is missing, unreadable, or contains no measurements, and
+# report is missing, unreadable, or contains no measurements, and
 # (exit 1) when a baseline measurement disappears from the candidate —
 # a deleted benchmark silently shrinks coverage. Set
 # BENCH_REGRESS_ALLOW_MISSING=1 to permit intentional removals.
 #
-# Usage: scripts/bench_regress.sh BASELINE.json [CURRENT.json] [threshold-pct]
+# End-to-end latency is not gated here: that is the repo benchmark,
+# `bash waldobench/run.sh` (BENCHMARK.json, waldobench/README.md).
+#
+# Usage: scripts/bench_regress.sh BASELINE.json CURRENT.json [threshold-pct]
 set -euo pipefail
 
-ROOT="$(cd "$(dirname "$0")/.." && pwd)"
-
-if [ $# -lt 1 ]; then
-    echo "usage: $0 BASELINE.json [CURRENT.json] [threshold-pct]" >&2
+if [ $# -lt 2 ]; then
+    echo "usage: $0 BASELINE.json CURRENT.json [threshold-pct]" >&2
     exit 2
 fi
 
-is_e2e() {
-    grep -q '"format": *"bench_e2e' "$1"
-}
-
 BASE=$1
-if [ $# -ge 2 ] && [[ ! $2 =~ ^[0-9]+$ ]]; then
-    CURR=$2
-    THRESH=${3:-15}
-    SINGLE=0
-else
-    # Single-file mode (a bare numeric second arg is the threshold):
-    # baseline and candidate are consecutive runs of one e2e trajectory.
-    CURR=$1
-    THRESH=${2:-15}
-    SINGLE=1
-fi
+CURR=$2
+THRESH=${3:-15}
 
 for f in "$BASE" "$CURR"; do
     if [ ! -r "$f" ]; then
@@ -58,41 +33,27 @@ for f in "$BASE" "$CURR"; do
     fi
 done
 
-if [ "$SINGLE" -eq 1 ] && ! is_e2e "$BASE"; then
-    echo "bench_regress: single-file mode needs a bench_e2e trajectory, got $BASE" >&2
-    exit 2
-fi
-
-# extract FILE RUNIDX: emit "key value-in-ns" pairs. RUNIDX only applies
-# to e2e trajectories (negative counts back from the latest run). For
-# waldo-benchjson reports the format is our own tool's stable
-# MarshalIndent output, so line-oriented parsing is safe here.
+# extract FILE: emit "name ns/op" pairs. The format is our own tool's
+# stable MarshalIndent output, so line-oriented parsing is safe here.
 extract() {
-    if is_e2e "$1"; then
-        go run "$ROOT/cmd/waldo-benchjson" -extract-e2e -run "$2" < "$1"
-    else
-        awk '
-            /"name":/ {
-                gsub(/.*"name": *"|",?$/, "")
-                name = $0
-            }
-            /"ns_per_op":/ {
-                gsub(/.*"ns_per_op": *|,?$/, "")
-                if (name != "") { print name, $0; name = "" }
-            }
-        ' "$1"
-    fi
+    awk '
+        /"name":/ {
+            gsub(/.*"name": *"|",?$/, "")
+            name = $0
+        }
+        /"ns_per_op":/ {
+            gsub(/.*"ns_per_op": *|,?$/, "")
+            if (name != "") { print name, $0; name = "" }
+        }
+    ' "$1"
 }
 
-BASE_RUN=-1
-[ "$SINGLE" -eq 1 ] && BASE_RUN=-2
-
-TMP_BASE=/tmp/bench_regress_base.$$
-TMP_CURR=/tmp/bench_regress_curr.$$
+TMP_BASE=$(mktemp)
+TMP_CURR=$(mktemp)
 trap 'rm -f "$TMP_BASE" "$TMP_CURR"' EXIT
 
-extract "$BASE" "$BASE_RUN" | sort > "$TMP_BASE"
-extract "$CURR" -1 | sort > "$TMP_CURR"
+extract "$BASE" | sort > "$TMP_BASE"
+extract "$CURR" | sort > "$TMP_CURR"
 
 if [ ! -s "$TMP_BASE" ]; then
     echo "bench_regress: baseline $BASE yielded no measurements — refusing to pass vacuously" >&2
