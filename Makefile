@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check verify build test race vet fmt-check bench bench-telemetry bench-wal bench-cluster bench-ingest bench-check crash-test doccheck loadgen chaos cluster-test trace-smoke clean
+.PHONY: check verify build test race vet fmt-check bench bench-telemetry bench-wal bench-cluster bench-ingest bench-check crash-test doccheck loadgen chaos cluster-test trace-smoke fuzz-smoke clean
 
 check: vet build race
 
@@ -11,9 +11,10 @@ check: vet build race
 # sharded-cluster suite (in-process chaos harness + real-process smoke),
 # the benchmark module's vet/build plus the open-loop scheduler's tests
 # under the race detector, the end-to-end trace smoke (one traced upload
-# must cross gateway -> shard -> WAL under a single trace ID), and the
-# godoc coverage gate on contract-surface packages.
-verify: fmt-check vet build test doccheck cluster-test bench-check trace-smoke
+# must cross gateway -> shard -> WAL under a single trace ID), the godoc
+# coverage gate on contract-surface packages, and a short run of every
+# fuzz target.
+verify: fmt-check vet build test doccheck cluster-test bench-check trace-smoke fuzz-smoke
 
 # Godoc coverage on contract-surface packages: every exported
 # identifier (funcs, methods, types, consts, vars, struct fields) must
@@ -147,6 +148,17 @@ bench-ingest:
 bench-check:
 	cd waldobench && $(GO) vet ./... && $(GO) build -o /dev/null ./...
 	$(GO) test -race ./internal/benchharness/ -count 1
+
+# Fuzz smoke: every Fuzz* target in the module (the benchmark module
+# has none) fuzzes for 5 s past its seed corpus, two workers each. `go
+# test -fuzz` takes one target per run, so targets are found by name.
+fuzz-smoke:
+	@set -e; find . -path ./.bench_build -prune -o -path ./waldobench -prune -o -name '*_test.go' -print | \
+	xargs grep -o '^func Fuzz[A-Za-z0-9_]*' | sort | while IFS=: read -r file fn; do \
+		target=$${fn#func }; pkg=$$(dirname "$$file"); \
+		echo "fuzz-smoke: $$pkg $$target"; \
+		$(GO) test "$$pkg" -run '^$$' -fuzz "^$$target\$$" -fuzztime 5s -parallel 2; \
+	done
 
 clean:
 	$(GO) clean ./...

@@ -163,9 +163,10 @@ func (w *WSD) SenseChannel(ch rfenv.Channel, loc geo.Point) (ChannelScan, error)
 	if err != nil {
 		return ChannelScan{}, err
 	}
+	// Captures past the detector's cap cannot change its decision.
 	maxN := w.MaxReadingsPerChannel
 	if maxN == 0 {
-		maxN = 1024
+		maxN = det.MaxReadings()
 	}
 
 	var cpu time.Duration

@@ -302,10 +302,7 @@ func decodeClassifier(d *decoder, kind ClassifierKind) (ml.Classifier, error) {
 		if d.err != nil || rows < 1 || cols < 1 || rows > 1<<16 || cols > 1<<12 {
 			return nil, fmt.Errorf("bad RFF shape %dx%d: %w", rows, cols, d.err)
 		}
-		rw := make([][]float64, rows)
-		for i := range rw {
-			rw[i] = d.f64s(cols)
-		}
+		rw := d.matrix(rows, cols)
 		rb := d.f64s(rows)
 		w := d.f64s(rows)
 		b := d.f64()
@@ -347,10 +344,7 @@ func decodeClassifier(d *decoder, kind ClassifierKind) (ml.Classifier, error) {
 		if d.err != nil || nsv < 1 || dim < 1 || nsv > 1<<20 || dim > 1<<12 {
 			return nil, fmt.Errorf("bad SV shape %dx%d: %w", nsv, dim, d.err)
 		}
-		sv := make([][]float64, nsv)
-		for i := range sv {
-			sv[i] = d.f64s(dim)
-		}
+		sv := d.matrix(nsv, dim)
 		coefs := d.f64s(nsv)
 		b := d.f64()
 		if d.err != nil {
@@ -430,10 +424,33 @@ func (d *decoder) f64() float64 {
 	return math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
 }
 
+// decodeChunk bounds what f64s and matrix allocate ahead of the bytes
+// that fill it: they grow as elements arrive and stop at the first read
+// error, so a corrupt element count costs at most about the input's own
+// size, not the gigabytes its counts can claim.
+const decodeChunk = 512
+
+// f64s reads n float64s, or returns nil once a read fails.
 func (d *decoder) f64s(n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = d.f64()
+	out := make([]float64, 0, min(n, decodeChunk))
+	for len(out) < n && d.err == nil {
+		out = append(out, d.f64())
+	}
+	if d.err != nil {
+		return nil
+	}
+	return out
+}
+
+// matrix reads rows×cols float64s row by row, or returns nil once a read
+// fails.
+func (d *decoder) matrix(rows, cols int) [][]float64 {
+	out := make([][]float64, 0, min(rows, decodeChunk))
+	for len(out) < rows && d.err == nil {
+		out = append(out, d.f64s(cols))
+	}
+	if d.err != nil {
+		return nil
 	}
 	return out
 }

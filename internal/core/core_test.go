@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/wsdetect/waldo/internal/dataset"
@@ -262,6 +263,115 @@ func TestDecodeModelRejectsGarbage(t *testing.T) {
 	if _, err := DecodeModel(bytes.NewReader(buf.Bytes()[:buf.Len()/2])); err == nil {
 		t.Error("truncated descriptor must be rejected")
 	}
+}
+
+// craftedModelPrefix is a valid descriptor header with one non-constant
+// locality of the given kind, cut off just before the classifier's
+// element counts.
+func craftedModelPrefix(kind ClassifierKind) *bytes.Buffer {
+	var buf bytes.Buffer
+	buf.Write(modelMagic[:])
+	writeU16(&buf, codecVersion)
+	writeU16(&buf, 47)
+	buf.WriteByte(byte(sensor.KindRTLSDR))
+	buf.WriteByte(byte(features.SetLocationRSS))
+	buf.WriteByte(byte(kind))
+	writeU16(&buf, 1)
+	writeF64(&buf, rfenv.MetroCenter.Lat)
+	writeF64(&buf, rfenv.MetroCenter.Lon)
+	writeF64(&buf, 0)
+	writeF64s(&buf, []float64{0, 0})
+	buf.WriteByte(1)
+	dim := features.SetLocationRSS.Dim()
+	writeU16(&buf, uint16(dim))
+	for i := 0; i < dim; i++ {
+		writeF64(&buf, 0)
+	}
+	for i := 0; i < dim; i++ {
+		writeF64(&buf, 1)
+	}
+	return &buf
+}
+
+// TestDecodeModelBoundsAllocation feeds descriptors whose element counts
+// claim the decoder's largest shapes but carry no elements: decoding must
+// fail having allocated about what the input holds, not what the counts
+// claim (gigabytes, for the SVM shapes).
+func TestDecodeModelBoundsAllocation(t *testing.T) {
+	cases := map[string]*bytes.Buffer{}
+	nb := craftedModelPrefix(KindNB)
+	writeF64s(nb, []float64{-0.7, -0.7})
+	writeU32(nb, 1<<16)
+	cases["nb"] = nb
+	lin := craftedModelPrefix(KindLinearSVM)
+	writeU32(lin, 1<<20)
+	cases["linear"] = lin
+	rff := craftedModelPrefix(KindSVM)
+	writeU32(rff, 1<<16)
+	writeU32(rff, 1<<12)
+	cases["rff"] = rff
+	exact := craftedModelPrefix(KindSVMExact)
+	exact.WriteByte(kernelTagLinear)
+	writeF64(exact, 0)
+	writeU16(exact, 0)
+	writeF64(exact, 0)
+	writeU32(exact, 1<<20)
+	writeU32(exact, 1<<12)
+	cases["exact"] = exact
+	for name, buf := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DecodeModel(bytes.NewReader(buf.Bytes()))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: descriptor without elements accepted", name)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 64<<10 {
+			t.Errorf("%s: decoding a %d-byte descriptor allocated %d bytes", name, buf.Len(), n)
+		}
+	}
+}
+
+// FuzzDecodeModel fuzzes the model codec a device decodes from the
+// server: no input may panic it, and every accepted descriptor must
+// re-encode to bytes that decode and re-encode to the same bytes.
+func FuzzDecodeModel(f *testing.F) {
+	readings, labels := synthReadings(200, 14)
+	for _, kind := range []ClassifierKind{KindSVM, KindNB} {
+		m, err := BuildModel(readings, labels, ConstructorConfig{Classifier: kind, ClusterK: 2, Seed: 15})
+		if err != nil {
+			f.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := EncodeModel(&buf, m); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+		f.Add(buf.Bytes()[:buf.Len()/2])
+	}
+	f.Add(craftedModelPrefix(KindLinearSVM).Bytes())
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := DecodeModel(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var first bytes.Buffer
+		if err := EncodeModel(&first, m); err != nil {
+			t.Fatalf("accepted descriptor failed to re-encode: %v", err)
+		}
+		again, err := DecodeModel(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("re-encoded descriptor rejected: %v", err)
+		}
+		var second bytes.Buffer
+		if err := EncodeModel(&second, again); err != nil {
+			t.Fatalf("second re-encode failed: %v", err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("re-encode not stable: %d vs %d bytes", first.Len(), second.Len())
+		}
+	})
 }
 
 func TestClassifierKindStrings(t *testing.T) {

@@ -100,10 +100,12 @@ type Decision struct {
 type Detector struct {
 	model *Model
 	cfg   DetectorConfig
+	z     float64 // normal quantile of cfg.Confidence, for the CI
 
-	rss []float64
-	cft []float64
-	aft []float64
+	rss    []float64
+	sorted []float64 // rss in sort.Float64s order, for the percentile band
+	cft    []float64
+	aft    []float64
 
 	// Telemetry handles; nil-safe no-ops when cfg.Metrics is unset.
 	readingsUsed  *telemetry.Histogram
@@ -121,6 +123,7 @@ func NewDetector(model *Model, cfg DetectorConfig) (*Detector, error) {
 	return &Detector{
 		model: model,
 		cfg:   cfg,
+		z:     dsp.NormalQuantile(0.5 + cfg.Confidence/2),
 		readingsUsed: cfg.Metrics.Histogram("waldo_detector_readings",
 			"Stream length consumed per decision (α-convergence iterations).",
 			telemetry.DefCountBuckets),
@@ -132,6 +135,7 @@ func NewDetector(model *Model, cfg DetectorConfig) (*Detector, error) {
 // Reset clears the stream (e.g. after the device moves).
 func (d *Detector) Reset() {
 	d.rss = d.rss[:0]
+	d.sorted = d.sorted[:0]
 	d.cft = d.cft[:0]
 	d.aft = d.aft[:0]
 }
@@ -139,32 +143,37 @@ func (d *Detector) Reset() {
 // Len returns the current stream length.
 func (d *Detector) Len() int { return len(d.rss) }
 
+// MaxReadings returns the stream cap after defaults: captures offered
+// beyond it cannot change the decision.
+func (d *Detector) MaxReadings() int { return d.cfg.MaxReadings }
+
 // Offer appends one capture's features and reports whether the stream has
-// converged (90 % CI span of smoothed RSS below α).
+// converged (CI span of the outlier-trimmed raw RSS at most α). Once the
+// stream holds MaxReadings it stops growing, and further offers return
+// the same answer without allocating.
 func (d *Detector) Offer(sig features.Signal) bool {
 	if len(d.rss) < d.cfg.MaxReadings {
 		d.rss = append(d.rss, sig.RSSdBm)
+		d.sorted = dsp.InsertSorted(d.sorted, sig.RSSdBm)
 		d.cft = append(d.cft, sig.CFTdB)
 		d.aft = append(d.aft, sig.AFTdB)
 	}
-	return d.converged()
+	span, _ := d.ciSpan()
+	return d.converged(span)
 }
 
-// ciSpan returns the current CI span of the outlier-trimmed raw RSS. The
-// CI is deliberately computed on raw (not smoothed) readings: a moving
-// average autocorrelates the series and makes its sample variance
-// underestimate the true uncertainty, which would declare convergence on
-// streams that are still drifting (the mobile fading case of §5).
-func (d *Detector) ciSpan() float64 {
-	trimmed := dsp.TrimOutliers(d.rss, d.cfg.OutlierLoPct, d.cfg.OutlierHiPct)
-	return dsp.MeanCI(trimmed, d.cfg.Confidence).Span()
+// ciSpan returns the current CI span of the outlier-trimmed raw RSS and
+// how many readings the trim kept. The CI is deliberately computed on raw
+// (not smoothed) readings: a moving average autocorrelates the series and
+// makes its sample variance underestimate the true uncertainty, which
+// would declare convergence on streams that are still drifting (the
+// mobile fading case of §5).
+func (d *Detector) ciSpan() (span float64, kept int) {
+	return dsp.TrimmedMeanCISpan(d.rss, d.sorted, d.cfg.OutlierLoPct, d.cfg.OutlierHiPct, d.z)
 }
 
-func (d *Detector) converged() bool {
-	if len(d.rss) < d.cfg.MinReadings {
-		return false
-	}
-	return d.ciSpan() <= d.cfg.AlphaDB
+func (d *Detector) converged(span float64) bool {
+	return len(d.rss) >= d.cfg.MinReadings && span <= d.cfg.AlphaDB
 }
 
 // aggregate produces the robust feature estimate used for classification.
@@ -188,10 +197,12 @@ func (d *Detector) Decide(loc geo.Point) (Decision, error) {
 	if len(d.rss) == 0 {
 		return Decision{}, fmt.Errorf("core: no readings offered")
 	}
+	span, kept := d.ciSpan()
+	outliers := len(d.rss) - kept
 	dec := Decision{
-		Converged:    d.converged(),
+		Converged:    d.converged(span),
 		ReadingsUsed: len(d.rss),
-		CISpanDB:     d.ciSpan(),
+		CISpanDB:     span,
 		Signal:       d.aggregate(),
 	}
 	if dec.Converged {
@@ -200,7 +211,7 @@ func (d *Detector) Decide(loc geo.Point) (Decision, error) {
 			return Decision{}, err
 		}
 		dec.Label = label
-		d.record(dec)
+		d.record(dec, outliers)
 		return dec, nil
 	}
 
@@ -208,8 +219,8 @@ func (d *Detector) Decide(loc geo.Point) (Decision, error) {
 	// Safe is the channel declared Safe.
 	lo := dec.Signal
 	hi := dec.Signal
-	lo.RSSdBm = dsp.Percentile(d.rss, d.cfg.OutlierLoPct)
-	hi.RSSdBm = dsp.Percentile(d.rss, d.cfg.OutlierHiPct)
+	lo.RSSdBm = dsp.PercentileSorted(d.sorted, d.cfg.OutlierLoPct)
+	hi.RSSdBm = dsp.PercentileSorted(d.sorted, d.cfg.OutlierHiPct)
 	lLabel, err := d.model.Classify(loc, lo)
 	if err != nil {
 		return Decision{}, err
@@ -223,21 +234,21 @@ func (d *Detector) Decide(loc geo.Point) (Decision, error) {
 	} else {
 		dec.Label = dataset.LabelNotSafe
 	}
-	d.record(dec)
+	d.record(dec, outliers)
 	return dec, nil
 }
 
 // record emits per-decision telemetry. The decision counter is looked up
 // here (not held) because its labels depend on the outcome; decisions are
-// per-channel-scan events, far off the per-capture hot path.
-func (d *Detector) record(dec Decision) {
+// per-channel-scan events, far off the per-capture hot path. outliers is
+// the number of readings the percentile trim rejected.
+func (d *Detector) record(dec Decision, outliers int) {
 	if d.cfg.Metrics == nil {
 		return
 	}
 	d.readingsUsed.Observe(float64(dec.ReadingsUsed))
-	trimmed := dsp.TrimOutliers(d.rss, d.cfg.OutlierLoPct, d.cfg.OutlierHiPct)
-	if n := len(d.rss) - len(trimmed); n > 0 {
-		d.outliersTotal.Add(uint64(n))
+	if outliers > 0 {
+		d.outliersTotal.Add(uint64(outliers))
 	}
 	d.cfg.Metrics.Counter("waldo_detector_decisions_total",
 		"Detection decisions by label and convergence outcome.",

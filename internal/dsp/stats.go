@@ -64,6 +64,15 @@ func Percentile(xs []float64, p float64) float64 {
 	return percentileSorted(sorted, p)
 }
 
+// PercentileSorted is Percentile over a slice already in sort.Float64s
+// order (see InsertSorted); it neither copies nor allocates.
+func PercentileSorted(sorted []float64, p float64) float64 {
+	if len(sorted) == 0 || p < 0 || p > 100 || math.IsNaN(p) {
+		return math.NaN()
+	}
+	return percentileSorted(sorted, p)
+}
+
 func percentileSorted(sorted []float64, p float64) float64 {
 	if len(sorted) == 1 {
 		return sorted[0]
@@ -172,4 +181,59 @@ func TrimOutliers(xs []float64, loPct, hiPct float64) []float64 {
 		}
 	}
 	return out
+}
+
+// InsertSorted inserts x into sorted, which must be in sort.Float64s order
+// (NaNs first), and returns the slice still in that order. It lets a
+// growing stream keep a sorted shadow for its percentiles without a copy
+// and a sort per element.
+func InsertSorted(sorted []float64, x float64) []float64 {
+	// Binary search for the first element x sorts before, so x lands
+	// after any equal elements.
+	i, j := 0, len(sorted)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if x < sorted[h] || (math.IsNaN(x) && !math.IsNaN(sorted[h])) {
+			j = h
+		} else {
+			i = h + 1
+		}
+	}
+	sorted = append(sorted, 0)
+	copy(sorted[i+1:], sorted[i:])
+	sorted[i] = x
+	return sorted
+}
+
+// TrimmedMeanCISpan returns MeanCI(TrimOutliers(xs, loPct, hiPct),
+// level).Span() bit for bit, and the number of elements the band kept,
+// without allocating. sorted must hold xs in sort.Float64s order and z
+// must be NormalQuantile(0.5 + level/2). Both sums run over xs in its own
+// order, as MeanCI's run over the trimmed slice, so they round alike.
+func TrimmedMeanCISpan(xs, sorted []float64, loPct, hiPct, z float64) (span float64, kept int) {
+	if len(xs) == 0 {
+		return math.Inf(1), 0
+	}
+	lo := PercentileSorted(sorted, loPct)
+	hi := PercentileSorted(sorted, hiPct)
+	var sum float64
+	for _, x := range xs {
+		if x >= lo && x <= hi {
+			sum += x
+			kept++
+		}
+	}
+	if kept < 2 {
+		return math.Inf(1), kept
+	}
+	m := sum / float64(kept)
+	var ss float64
+	for _, x := range xs {
+		if x >= lo && x <= hi {
+			d := x - m
+			ss += d * d
+		}
+	}
+	half := z * math.Sqrt(ss/float64(kept-1)) / math.Sqrt(float64(kept))
+	return (m + half) - (m - half), kept
 }

@@ -3,6 +3,7 @@ package dsp
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -193,5 +194,100 @@ func TestNormalQuantileCDFInverse(t *testing.T) {
 		if got := NormalCDF(NormalQuantile(p)); !almostEq(got, p, 1e-6) {
 			t.Fatalf("CDF(Quantile(%v)) = %v", p, got)
 		}
+	}
+}
+
+// TestTrimmedMeanCISpanMatchesMeanCI is the oracle for the detector's
+// incremental convergence test: on every prefix of seeded streams (ties,
+// constant runs, ±Inf and NaN readings) the sorted shadow equals a sorted
+// copy, and TrimmedMeanCISpan matches the copy-sort-trim-CI chain bit for
+// bit, in span and in the number of readings kept.
+func TestTrimmedMeanCISpanMatchesMeanCI(t *testing.T) {
+	const lo, hi, level = 5, 95, 0.9
+	z := NormalQuantile(0.5 + level/2)
+	gens := []struct {
+		name string
+		next func(rng *rand.Rand) float64
+	}{
+		{"gaussian", func(rng *rand.Rand) float64 { return -80 + 3*rng.NormFloat64() }},
+		{"rounded", func(rng *rand.Rand) float64 { return math.Round(-80 + 2*rng.NormFloat64()) }},
+		{"constant", func(*rand.Rand) float64 { return -91.5 }},
+		{"inf", func(rng *rand.Rand) float64 {
+			switch rng.Intn(12) {
+			case 0:
+				return math.Inf(-1)
+			case 1:
+				return math.Inf(1)
+			}
+			return math.Round(-80 + 4*rng.NormFloat64())
+		}},
+		{"nan", func(rng *rand.Rand) float64 {
+			if rng.Intn(20) == 0 {
+				return math.NaN()
+			}
+			return -80 + rng.NormFloat64()
+		}},
+	}
+	for gi, g := range gens {
+		name, gen := g.name, g.next
+		rng := rand.New(rand.NewSource(int64(gi + 1)))
+		for trial := 0; trial < 12; trial++ {
+			n := 1 + rng.Intn(300)
+			var xs, sorted []float64
+			for i := 0; i < n; i++ {
+				x := gen(rng)
+				xs = append(xs, x)
+				sorted = InsertSorted(sorted, x)
+
+				ref := append([]float64(nil), xs...)
+				sort.Float64s(ref)
+				for k := range ref {
+					if ref[k] != sorted[k] && !(math.IsNaN(ref[k]) && math.IsNaN(sorted[k])) {
+						t.Fatalf("%s trial %d len %d: sorted[%d] = %v, sort.Float64s gives %v", name, trial, len(xs), k, sorted[k], ref[k])
+					}
+				}
+				trimmed := TrimOutliers(xs, lo, hi)
+				want := MeanCI(trimmed, level).Span()
+				got, kept := TrimmedMeanCISpan(xs, sorted, lo, hi, z)
+				if math.Float64bits(got) != math.Float64bits(want) || kept != len(trimmed) {
+					t.Fatalf("%s trial %d len %d: span %v (%#x) kept %d, MeanCI gives %v (%#x) kept %d",
+						name, trial, len(xs), got, math.Float64bits(got), kept, want, math.Float64bits(want), len(trimmed))
+				}
+			}
+		}
+	}
+}
+
+// TestTrimmedMeanCISpanUnbounded pins the n < 2 cases: no readings, or
+// fewer than two inside the band, give an unbounded (+Inf) span, as
+// MeanCI does.
+func TestTrimmedMeanCISpanUnbounded(t *testing.T) {
+	z := NormalQuantile(0.95)
+	for _, xs := range [][]float64{nil, {-70}, {-70, -60}} {
+		var sorted []float64
+		for _, x := range xs {
+			sorted = InsertSorted(sorted, x)
+		}
+		span, kept := TrimmedMeanCISpan(xs, sorted, 5, 95, z)
+		if !math.IsInf(span, 1) || kept >= 2 {
+			t.Errorf("%v: span %v kept %d, want +Inf with < 2 kept", xs, span, kept)
+		}
+		if want := MeanCI(TrimOutliers(xs, 5, 95), 0.9).Span(); !math.IsInf(want, 1) {
+			t.Errorf("%v: MeanCI span %v, want +Inf", xs, want)
+		}
+	}
+}
+
+func TestPercentileSorted(t *testing.T) {
+	xs := []float64{3, -1, 7, 7, 0.5, 12}
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	for _, p := range []float64{0, 5, 25, 50, 95, 100} {
+		if got, want := PercentileSorted(sorted, p), Percentile(xs, p); got != want {
+			t.Errorf("p%v = %v, Percentile gives %v", p, got, want)
+		}
+	}
+	if !math.IsNaN(PercentileSorted(nil, 50)) || !math.IsNaN(PercentileSorted(sorted, 101)) {
+		t.Error("empty input or p outside [0, 100] must give NaN")
 	}
 }

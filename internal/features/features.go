@@ -7,6 +7,7 @@ package features
 
 import (
 	"fmt"
+	"sync"
 
 	"github.com/wsdetect/waldo/internal/dsp"
 	"github.com/wsdetect/waldo/internal/geo"
@@ -33,6 +34,10 @@ type Signal struct {
 	AFTdB float64
 }
 
+// spectra pools the per-capture spectrum: extraction runs once per
+// capture on the device, and a fresh Spectrum cost two allocations each.
+var spectra = sync.Pool{New: func() any { return new(iq.Spectrum) }}
+
 // FromObservation extracts the signal features from a raw capture using
 // the device's calibration and a rectangular analysis window (the paper's
 // configuration).
@@ -56,8 +61,9 @@ func FromObservationWindowed(obs sensor.Observation, cal sensor.Calibration, win
 			return Signal{}, fmt.Errorf("features: %w", err)
 		}
 	}
-	spec, err := iq.NewSpectrum(samples)
-	if err != nil {
+	spec := spectra.Get().(*iq.Spectrum)
+	defer spectra.Put(spec)
+	if err := spec.Compute(samples); err != nil {
 		return Signal{}, fmt.Errorf("features: %w", err)
 	}
 	return Signal{

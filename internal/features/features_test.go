@@ -7,6 +7,7 @@ import (
 
 	"github.com/wsdetect/waldo/internal/dsp"
 	"github.com/wsdetect/waldo/internal/geo"
+	"github.com/wsdetect/waldo/internal/iq"
 	"github.com/wsdetect/waldo/internal/sensor"
 )
 
@@ -223,5 +224,65 @@ func TestWindowedRSSUnchanged(t *testing.T) {
 	}
 	if again != r {
 		t.Error("windowed extraction mutated the capture")
+	}
+}
+
+// TestFromObservationMatchesFreshSpectrum checks that extraction through
+// the pooled, reused spectrum gives the same features, to the bit, as a
+// freshly allocated iq.NewSpectrum, across capture lengths that make the
+// pooled bins grow and shrink.
+func TestFromObservationMatchesFreshSpectrum(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	cal := calibrated(t, sensor.RTLSDR(), rng).Calibration()
+	for i, n := range []int{256, 512, 64, 256, 1024, 256} {
+		samples, err := iq.Synthesize(rng, iq.CaptureConfig{Samples: n, PilotMW: 1e-9, BodyMW: 1e-9, NoiseMW: 1e-10, PilotOffsetBins: 0.3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := FromObservation(sensor.Observation{IQ: samples}, cal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := iq.NewSpectrum(samples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := Signal{
+			RSSdBm: cal.Apply(iq.MWToDBm(iq.EnergyMW(samples))) + iq.CaptureCorrectionDB(),
+			CFTdB:  cal.Apply(iq.MWToDBm(spec.CenterBinMW())),
+			AFTdB:  cal.Apply(iq.MWToDBm(spec.CenterBandMeanMW(CenterBandFrac))),
+		}
+		if got != want {
+			t.Errorf("capture %d (%d samples): %+v, fresh spectrum gives %+v", i, n, got, want)
+		}
+	}
+}
+
+// TestFromObservationZeroAlloc is the per-capture allocation budget of
+// feature extraction: a 256-sample capture allocates nothing once the
+// spectrum and FFT scratch pools are warm.
+func TestFromObservationZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets hold for plain builds only")
+	}
+	rng := rand.New(rand.NewSource(6))
+	d := calibrated(t, sensor.RTLSDR(), rng)
+	obs, err := d.Observe(rng, -80, math.Inf(-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(obs.IQ) != iq.DefaultSamples {
+		t.Fatalf("capture has %d samples, want %d", len(obs.IQ), iq.DefaultSamples)
+	}
+	cal := d.Calibration()
+	if _, err := FromObservation(obs, cal); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := FromObservation(obs, cal); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("FromObservation allocs/op = %v, want 0", n)
 	}
 }

@@ -146,9 +146,24 @@ type Spectrum struct {
 
 // NewSpectrum computes the shifted power spectrum of a capture.
 func NewSpectrum(samples []complex128) (*Spectrum, error) {
-	bins := make([]float64, len(samples))
-	if err := dsp.PowerSpectrumInto(bins, samples); err != nil {
+	s := new(Spectrum)
+	if err := s.Compute(samples); err != nil {
 		return nil, err
+	}
+	return s, nil
+}
+
+// Compute fills s with the shifted power spectrum of a capture, reusing
+// the storage of s.Bins when it is large enough, so a caller that keeps
+// one Spectrum allocates nothing per capture.
+func (s *Spectrum) Compute(samples []complex128) error {
+	if cap(s.Bins) < len(samples) {
+		s.Bins = make([]float64, len(samples))
+	}
+	bins := s.Bins[:len(samples)]
+	s.Bins = bins
+	if err := dsp.PowerSpectrumInto(bins, samples); err != nil {
+		return err
 	}
 	// The FFT length is a power of two, so the DC-to-center shift is an
 	// in-place half swap (one allocation fewer than dsp.FFTShift).
@@ -156,7 +171,7 @@ func NewSpectrum(samples []complex128) (*Spectrum, error) {
 	for i := 0; i < half; i++ {
 		bins[i], bins[i+half] = bins[i+half], bins[i]
 	}
-	return &Spectrum{Bins: bins}, nil
+	return nil
 }
 
 // CenterBinMW returns the power of the central DFT bin — the paper's CFT
